@@ -9,6 +9,7 @@
 
 use il_geometry::{DomainPoint, DynTransform};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// An opaque user projection function.
@@ -306,6 +307,29 @@ pub struct ColorRun {
     pub stride: i64,
     /// Number of indices covered (≥ 1 except for empty domains).
     pub count: u64,
+}
+
+/// Hashes a functor's content, consistently with
+/// [`ProjExpr::structurally_eq`]: structurally equal functors hash alike.
+/// An opaque functor's content is its closure, so it hashes by the
+/// closure's identity.
+impl Hash for ProjExpr {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        std::mem::discriminant(self).hash(h);
+        match self {
+            ProjExpr::Identity => {}
+            ProjExpr::Constant(c) => c.hash(h),
+            ProjExpr::Affine(t) => t.hash(h),
+            ProjExpr::Modular { a, b, m } => (a, b, m).hash(h),
+            ProjExpr::Quadratic { a, b, c } => (a, b, c).hash(h),
+            ProjExpr::Swizzle(take) => take.hash(h),
+            ProjExpr::Compose(g, f) => {
+                g.hash(h);
+                f.hash(h);
+            }
+            ProjExpr::Opaque(f) => Arc::as_ptr(f).cast::<()>().hash(h),
+        }
+    }
 }
 
 impl fmt::Debug for ProjExpr {

@@ -153,7 +153,7 @@ impl From<i64> for DomainPoint {
 /// space extents. Sparse domains share their point list via `Arc`, so
 /// cloning a `Domain` is always cheap — this is essential for the O(1)
 /// in-memory representation of an index launch.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub enum Domain {
     /// Dense 1-D rectangle.
     Rect1(Rect<1>),

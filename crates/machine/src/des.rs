@@ -196,7 +196,8 @@ impl ClockArena {
     }
 }
 
-/// Aggregate statistics of a simulation run.
+/// Aggregate statistics of a simulation run: the event count plus the
+/// sum of every lane's [`LaneStats`].
 #[derive(Clone, Debug, Default)]
 pub struct SimStats {
     /// Events dispatched.
@@ -211,10 +212,11 @@ pub struct SimStats {
     pub faults: FaultCounters,
 }
 
-/// Per-lane aggregate counters: the slice of [`SimStats`] attributable to
-/// one group of nodes (a service-mode session slot). Maintained only when
-/// [`Simulator::enable_lanes`] was called; with a single lane covering the
-/// whole machine the lane counters equal the global ones field for field.
+/// Traffic and fault counters of one lane, a group of nodes (a
+/// service-mode session slot). These are the simulator's only counters:
+/// [`Simulator::new`] starts with one lane spanning the machine,
+/// [`Simulator::enable_lanes`] splits it, and [`Simulator::stats`] sums
+/// the lanes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LaneStats {
     /// Cross-node messages sent by nodes of this lane.
@@ -228,14 +230,57 @@ pub struct LaneStats {
     pub faults: FaultCounters,
 }
 
+impl LaneStats {
+    /// Counters accrued since `earlier`, a snapshot of the same lane.
+    pub fn since(&self, earlier: &LaneStats) -> LaneStats {
+        self.zip(earlier, |now, then| now - then)
+    }
+
+    /// Combine two lanes' counters field by field.
+    fn zip(&self, other: &LaneStats, f: impl Fn(u64, u64) -> u64) -> LaneStats {
+        let mut traffic = StageTraffic::default();
+        for i in 0..Stage::COUNT {
+            traffic.messages[i] = f(self.traffic.messages[i], other.traffic.messages[i]);
+            traffic.bytes[i] = f(self.traffic.bytes[i], other.traffic.bytes[i]);
+        }
+        LaneStats {
+            messages: f(self.messages, other.messages),
+            bytes: f(self.bytes, other.bytes),
+            traffic,
+            faults: FaultCounters {
+                dropped: f(self.faults.dropped, other.faults.dropped),
+                duplicated: f(self.faults.duplicated, other.faults.duplicated),
+                crash_dropped: f(self.faults.crash_dropped, other.faults.crash_dropped),
+            },
+        }
+    }
+}
+
 /// Lane bookkeeping: the node→lane map, per-lane counters, and the number
 /// of pending events addressed to each lane's nodes (`outstanding`). A
 /// lane with zero outstanding events has fully drained — nothing in the
 /// queue can ever reach its nodes again without a new injection.
 struct LaneTable {
+    /// Node → lane; empty while one lane spans the machine.
     of_node: Vec<u32>,
     stats: Vec<LaneStats>,
     outstanding: Vec<u64>,
+}
+
+impl LaneTable {
+    fn new(of_node: Vec<u32>, lanes: usize) -> Self {
+        LaneTable {
+            of_node,
+            stats: vec![LaneStats::default(); lanes],
+            outstanding: vec![0; lanes],
+        }
+    }
+
+    /// The lane `node` belongs to.
+    #[inline]
+    fn of(&self, node: NodeId) -> usize {
+        self.of_node.get(node).map_or(0, |&l| l as usize)
+    }
 }
 
 /// A structural invariant violation detected by the simulator.
@@ -303,9 +348,8 @@ pub struct NodeCtx<'a, M> {
     net: &'a mut dyn Interconnect,
     nodes: usize,
     outbox: Vec<(SimTime, NodeId, M)>,
-    stats: &'a mut SimStats,
-    /// This node's lane counters, when lanes are enabled.
-    lane: Option<&'a mut LaneStats>,
+    /// The counters of this node's lane.
+    lane: &'a mut LaneStats,
     /// The fault plan, if one is installed (None → every hook is a no-op).
     plan: Option<&'a FaultPlan>,
     /// Counter indexing the plan's per-message drop/duplication draws.
@@ -382,17 +426,11 @@ impl<'a, M> NodeCtx<'a, M> {
             let nonce = *self.fault_nonce;
             *self.fault_nonce += 1;
             if plan.drop_message(nonce) {
-                self.stats.faults.dropped += 1;
-                if let Some(lane) = self.lane.as_deref_mut() {
-                    lane.faults.dropped += 1;
-                }
+                self.lane.faults.dropped += 1;
                 return;
             }
             if plan.duplicate_message(nonce) {
-                self.stats.faults.duplicated += 1;
-                if let Some(lane) = self.lane.as_deref_mut() {
-                    lane.faults.duplicated += 1;
-                }
+                self.lane.faults.duplicated += 1;
                 self.outbox
                     .push((arrival + self.net.base().latency, dst, msg.clone()));
             }
@@ -430,17 +468,11 @@ impl<'a, M> NodeCtx<'a, M> {
             let corrupted = plan.corrupt_message(self.node, nonce);
             let msg = make(corrupted);
             if plan.drop_message(nonce) {
-                self.stats.faults.dropped += 1;
-                if let Some(lane) = self.lane.as_deref_mut() {
-                    lane.faults.dropped += 1;
-                }
+                self.lane.faults.dropped += 1;
                 return corrupted;
             }
             if plan.duplicate_message(nonce) {
-                self.stats.faults.duplicated += 1;
-                if let Some(lane) = self.lane.as_deref_mut() {
-                    lane.faults.duplicated += 1;
-                }
+                self.lane.faults.duplicated += 1;
                 self.outbox
                     .push((arrival + self.net.base().latency, dst, msg.clone()));
             }
@@ -476,14 +508,9 @@ impl<'a, M> NodeCtx<'a, M> {
         let start = self.cursor.max(self.clocks.nic_free[self.slot]);
         let occupancy = self.net.base().occupancy(bytes);
         self.clocks.nic_free[self.slot] = start + occupancy;
-        self.stats.messages += 1;
-        self.stats.bytes += bytes;
-        self.stats.traffic.record(self.stage, bytes);
-        if let Some(lane) = self.lane.as_deref_mut() {
-            lane.messages += 1;
-            lane.bytes += bytes;
-            lane.traffic.record(self.stage, bytes);
-        }
+        self.lane.messages += 1;
+        self.lane.bytes += bytes;
+        self.lane.traffic.record(self.stage, bytes);
         start + occupancy
     }
 
@@ -531,10 +558,11 @@ pub struct Simulator<M, B> {
     queue: ActiveQueue<M>,
     now: SimTime,
     seq: u64,
-    stats: SimStats,
+    /// Events dispatched.
+    events: u64,
     fault_plan: Option<FaultPlan>,
     fault_nonce: u64,
-    lanes: Option<LaneTable>,
+    lanes: LaneTable,
 }
 
 impl<M, B: NodeBehavior<M>> Simulator<M, B> {
@@ -555,19 +583,19 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
             queue,
             now: SimTime::ZERO,
             seq: 0,
-            stats: SimStats::default(),
+            events: 0,
             fault_plan: None,
             fault_nonce: 0,
-            lanes: None,
+            lanes: LaneTable::new(Vec::new(), 1),
         }
     }
 
-    /// Partition the machine into `lanes` groups of nodes (`of_node[n]` =
-    /// the lane node `n` belongs to) and start maintaining per-lane
-    /// counters ([`LaneStats`]) plus per-lane outstanding-event counts.
-    /// Service mode uses one lane per session slot so each session's
-    /// report carries exactly its own traffic and fault slice, and drains
-    /// (`lane_outstanding` = 0) signal a slot can be reused.
+    /// Split the machine into `lanes` groups of nodes (`of_node[n]` = the
+    /// lane node `n` belongs to), each with its own counters
+    /// ([`LaneStats`]) and outstanding-event count. Service mode uses one
+    /// lane per session slot so each session's report carries exactly its
+    /// own traffic and fault slice, and drains (`lane_outstanding` = 0)
+    /// signal a slot can be reused.
     ///
     /// # Panics
     /// Panics if events were already injected, `of_node` is not one entry
@@ -579,28 +607,24 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
             of_node.iter().all(|&l| (l as usize) < lanes),
             "lane id out of range"
         );
-        self.lanes = Some(LaneTable {
-            of_node,
-            stats: vec![LaneStats::default(); lanes],
-            outstanding: vec![0; lanes],
-        });
+        self.lanes = LaneTable::new(of_node, lanes);
     }
 
     /// Aggregate counters of `lane` so far.
     ///
     /// # Panics
-    /// Panics if lanes were not enabled or `lane` is out of range.
+    /// Panics if `lane` is out of range.
     pub fn lane_stats(&self, lane: usize) -> LaneStats {
-        self.lanes.as_ref().expect("lanes not enabled").stats[lane]
+        self.lanes.stats[lane]
     }
 
     /// Events still pending for `lane`'s nodes. Zero means the lane has
     /// fully drained: no queued event can reach its nodes again.
     ///
     /// # Panics
-    /// Panics if lanes were not enabled or `lane` is out of range.
+    /// Panics if `lane` is out of range.
     pub fn lane_outstanding(&self, lane: usize) -> u64 {
-        self.lanes.as_ref().expect("lanes not enabled").outstanding[lane]
+        self.lanes.outstanding[lane]
     }
 
     /// Replace the event queue implementation. Both kinds dispatch in the
@@ -645,35 +669,38 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
     /// Inject an initial message for `dst` at absolute time `time`.
     pub fn inject(&mut self, time: SimTime, dst: NodeId, msg: M) {
         assert!(dst < self.nodes.len(), "destination out of range");
-        if let Some(lanes) = &mut self.lanes {
-            lanes.outstanding[lanes.of_node[dst] as usize] += 1;
-        }
+        self.enqueue(time, dst, msg);
+    }
+
+    fn enqueue(&mut self, time: SimTime, dst: NodeId, msg: M) {
+        let lane = self.lanes.of(dst);
+        self.lanes.outstanding[lane] += 1;
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(Event { time, seq, dst, msg });
     }
 
-    /// Timestamp of the next due event without dispatching it, or `None`
-    /// when the queue is empty. Implemented as a pop immediately undone by
-    /// a push: the re-pushed event keeps its sequence number, so dispatch
-    /// order is unchanged on either queue kind, and lane outstanding
-    /// counts are deliberately left untouched.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        let ev = self.queue.pop()?;
-        let time = ev.time;
-        self.queue.push(ev);
-        Some(time)
-    }
-
     /// Dispatch the next event. `Ok(false)` when the queue is empty;
     /// [`SimError::TimeRegression`] if the due event predates the clock.
     pub fn try_step(&mut self) -> Result<bool, SimError> {
+        self.try_step_until(SimTime::MAX)
+    }
+
+    /// Dispatch the next event if it is due at or before `limit`.
+    /// `Ok(false)` when the queue is empty or its next event is later: that
+    /// event goes back with its sequence number, so the dispatch order is
+    /// the same as stepping one event at a time. A loop over this call
+    /// runs the machine up to `limit` without peeking at every event.
+    pub fn try_step_until(&mut self, limit: SimTime) -> Result<bool, SimError> {
         let Some(ev) = self.queue.pop() else {
             return Ok(false);
         };
-        if let Some(lanes) = &mut self.lanes {
-            lanes.outstanding[lanes.of_node[ev.dst] as usize] -= 1;
+        if ev.time > limit {
+            self.queue.push(ev);
+            return Ok(false);
         }
+        let lane = self.lanes.of(ev.dst);
+        self.lanes.outstanding[lane] -= 1;
         if ev.time < self.now {
             return Err(SimError::TimeRegression {
                 event: ev.time,
@@ -683,14 +710,11 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
             });
         }
         self.now = ev.time;
-        self.stats.events += 1;
+        self.events += 1;
         if let Some(plan) = &self.fault_plan {
             if plan.is_crashed(ev.dst, ev.time) {
                 // A dead node silently discards everything addressed to it.
-                self.stats.faults.crash_dropped += 1;
-                if let Some(lanes) = &mut self.lanes {
-                    lanes.stats[lanes.of_node[ev.dst] as usize].faults.crash_dropped += 1;
-                }
+                self.lanes.stats[lane].faults.crash_dropped += 1;
                 return Ok(true);
             }
         }
@@ -700,10 +724,6 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
             .map_or(1, |p| p.slow_factor(ev.dst));
         let slot = self.clocks.touch(ev.dst);
         let start = ev.time.max(self.clocks.runtime_free[slot]);
-        let lane = self
-            .lanes
-            .as_mut()
-            .map(|lanes| &mut lanes.stats[lanes.of_node[ev.dst] as usize]);
         let mut ctx = NodeCtx {
             node: ev.dst,
             slot,
@@ -714,8 +734,7 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
             net: self.net.as_mut(),
             nodes: self.nodes.len(),
             outbox: Vec::new(),
-            stats: &mut self.stats,
-            lane,
+            lane: &mut self.lanes.stats[lane],
             plan: self.fault_plan.as_ref(),
             fault_nonce: &mut self.fault_nonce,
             slow,
@@ -725,12 +744,7 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
         let outbox = std::mem::take(&mut ctx.outbox);
         self.clocks.runtime_free[slot] = cursor;
         for (time, dst, msg) in outbox {
-            if let Some(lanes) = &mut self.lanes {
-                lanes.outstanding[lanes.of_node[dst] as usize] += 1;
-            }
-            let seq = self.seq;
-            self.seq += 1;
-            self.queue.push(Event { time, seq, dst, msg });
+            self.enqueue(time, dst, msg);
         }
         Ok(true)
     }
@@ -852,9 +866,21 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
         }
     }
 
-    /// Aggregate statistics so far.
-    pub fn stats(&self) -> &SimStats {
-        &self.stats
+    /// Aggregate statistics so far: the event count plus the sum of the
+    /// lanes' counters.
+    pub fn stats(&self) -> SimStats {
+        let sum = self
+            .lanes
+            .stats
+            .iter()
+            .fold(LaneStats::default(), |acc, lane| acc.zip(lane, |a, b| a + b));
+        SimStats {
+            events: self.events,
+            messages: sum.messages,
+            bytes: sum.bytes,
+            traffic: sum.traffic,
+            faults: sum.faults,
+        }
     }
 
     /// Per-stage busy time summed across every node (runtime threads plus
@@ -1418,44 +1444,70 @@ mod tests {
     #[test]
     fn single_lane_counters_match_global_stats() {
         use crate::fault::{FaultPlan, FaultSpec};
-        // One lane over the whole machine must reproduce SimStats field
-        // for field — the service-mode n=1 transparency anchor. Faults on
-        // so the fault counters are exercised too.
-        #[derive(Default)]
+        // The lanes are the simulator's only counters, so the machine
+        // totals must come out the same whether one lane spans the machine
+        // or three lanes split it. Relay chains cross lane boundaries
+        // under drops, duplicates and two crashes; the totals are pinned
+        // to the figures the simulator produced while it still kept a
+        // separate set of global counters.
         struct Chat;
         impl NodeBehavior<u64> for Chat {
             fn on_message(&mut self, ctx: &mut NodeCtx<'_, u64>, msg: u64) {
                 ctx.charge(SimTime::us(1));
                 if msg > 0 {
-                    ctx.set_stage(Stage::Distribution);
-                    ctx.send(ctx.node() ^ 1, msg - 1, 128);
+                    let stage = if msg % 2 == 0 { Stage::Distribution } else { Stage::Network };
+                    ctx.set_stage(stage);
+                    ctx.send((ctx.node() + 1) % ctx.nodes(), msg - 1, 128);
                 }
             }
         }
         let spec = FaultSpec {
-            drop_per_mille: 200,
-            dup_per_mille: 200,
-            max_crashes: 0,
+            drop_per_mille: 100,
+            dup_per_mille: 300,
+            max_crashes: 2,
             slow_nodes: 0,
+            crash_window: (SimTime::us(20), SimTime::us(60)),
             ..FaultSpec::default()
         };
-        let mut sim = Simulator::new(
-            MachineDesc::piz_daint(2),
-            Network::aries(),
-            vec![Chat, Chat],
-        );
-        sim.set_fault_plan(FaultPlan::generate(9, 2, &spec));
-        sim.enable_lanes(vec![0, 0], 1);
-        sim.inject(SimTime::ZERO, 0, 64);
-        sim.run(10_000);
-        let lane = sim.lane_stats(0);
-        let stats = sim.stats();
-        assert_eq!(lane.messages, stats.messages);
-        assert_eq!(lane.bytes, stats.bytes);
-        assert_eq!(lane.traffic, stats.traffic);
-        assert_eq!(lane.faults, stats.faults);
-        assert!(lane.faults.dropped > 0 || lane.faults.duplicated > 0);
-        assert_eq!(sim.lane_outstanding(0), 0);
+        let plan = FaultPlan::generate(9, 6, &spec);
+        assert_eq!(plan.crashes().len(), 2);
+        let run = |lanes: usize| {
+            let mut sim = Simulator::new(
+                MachineDesc::piz_daint(6),
+                Network::aries(),
+                (0..6).map(|_| Chat).collect(),
+            );
+            sim.set_fault_plan(plan.clone());
+            if lanes > 1 {
+                sim.enable_lanes((0..6).map(|n| (n * lanes / 6) as u32).collect(), lanes);
+            }
+            for n in [0, 2, 4] {
+                sim.inject(SimTime::ZERO, n, 40);
+            }
+            sim.run(1_000_000);
+            for lane in 0..lanes {
+                assert_eq!(sim.lane_outstanding(lane), 0);
+                let own = sim.lane_stats(lane);
+                assert!(own.messages > 0 && own.faults.duplicated > 0, "lane {lane}: {own:?}");
+            }
+            sim.stats()
+        };
+        for lanes in [1, 3] {
+            let s = run(lanes);
+            assert_eq!((s.events, s.messages, s.bytes), (272, 227, 29_056), "{lanes} lanes");
+            assert_eq!(
+                s.faults,
+                FaultCounters { dropped: 15, duplicated: 57, crash_dropped: 45 },
+                "{lanes} lanes"
+            );
+            let (d, n) = (Stage::Distribution.index(), Stage::Network.index());
+            assert_eq!(
+                (s.traffic.messages[d], s.traffic.bytes[d]),
+                (124, 15_872),
+                "{lanes} lanes"
+            );
+            assert_eq!((s.traffic.messages[n], s.traffic.bytes[n]), (103, 13_184), "{lanes} lanes");
+        }
     }
 
     #[test]
@@ -1491,7 +1543,7 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_is_nonperturbing() {
+    fn step_until_is_nonperturbing() {
         for kind in [QueueKind::BinaryHeap, QueueKind::Calendar] {
             let mut sim = Simulator::new(
                 MachineDesc::piz_daint(2),
@@ -1504,14 +1556,17 @@ mod tests {
                 sim.inject(t, 0, k);
             }
             sim.inject(SimTime::us(6), 1, 42);
-            // Peeking is idempotent and preserves the (time, seq) order.
-            assert_eq!(sim.peek_time(), Some(t));
-            assert_eq!(sim.peek_time(), Some(t));
-            while sim.peek_time().is_some() {
-                sim.step();
-            }
+            // An event past the limit stays queued, in (time, seq) order.
+            assert_eq!(sim.try_step_until(SimTime::us(4)), Ok(false));
+            assert_eq!(sim.try_step_until(SimTime::us(4)), Ok(false));
+            assert_eq!(sim.pending_events(), 4);
+            while sim.try_step_until(t) == Ok(true) {}
             assert_eq!(sim.node(0).seen, vec![9, 3, 7]);
+            assert!(sim.node(1).seen.is_empty());
+            assert_eq!(sim.lane_outstanding(0), 1);
+            assert_eq!(sim.try_step_until(SimTime::us(6)), Ok(true));
             assert_eq!(sim.node(1).seen, vec![42]);
+            assert_eq!(sim.try_step_until(SimTime::MAX), Ok(false));
         }
     }
 

@@ -81,10 +81,20 @@ impl NodeBehavior<Hop> for Relay {
 
 type Storm = Vec<(i64, i64, i64, i64)>;
 
-fn run_with(kind: QueueKind, nodes: usize, storm: &Storm, faults: bool) -> impl Eq + std::fmt::Debug {
+/// Run `storm` to completion on two lanes (even and odd nodes), one event
+/// at a time, or, given `limits` (µs), in batches up to each limit in
+/// ascending order and then to the end.
+fn run_with(
+    kind: QueueKind,
+    nodes: usize,
+    storm: &Storm,
+    faults: bool,
+    limits: Option<&[i64]>,
+) -> impl Eq + std::fmt::Debug {
     let behaviors = (0..nodes).map(|_| Relay { log: Vec::new() }).collect();
     let mut sim = Simulator::new(MachineDesc::piz_daint(nodes), Network::aries(), behaviors)
         .with_queue(kind);
+    sim.enable_lanes((0..nodes).map(|n| (n % 2) as u32).collect(), 2);
     if faults {
         let spec = FaultSpec {
             max_crashes: 2,
@@ -102,7 +112,16 @@ fn run_with(kind: QueueKind, nodes: usize, storm: &Storm, faults: bool) -> impl 
             Hop { ttl: ttl as u32, stride: stride as usize % nodes + 1, bytes: 256 },
         );
     }
-    sim.run(1_000_000);
+    match limits {
+        None => sim.run(1_000_000),
+        Some(limits) => {
+            let mut limits = limits.to_vec();
+            limits.sort_unstable();
+            for limit in limits.into_iter().map(|l| SimTime::us(l as u64)).chain([SimTime::MAX]) {
+                while sim.try_step_until(limit).expect("storms never regress time") {}
+            }
+        }
+    }
     let logs: Vec<Vec<(u64, u32)>> = (0..nodes).map(|n| sim.node(n).log.clone()).collect();
     (
         sim.stats().events,
@@ -112,6 +131,8 @@ fn run_with(kind: QueueKind, nodes: usize, storm: &Storm, faults: bool) -> impl 
         sim.makespan(),
         sim.stage_totals(),
         sim.node_stage_busy(),
+        sim.lane_stats(0),
+        sim.lane_stats(1),
         logs,
     )
 }
@@ -128,8 +149,30 @@ fn simulations_dispatch_identically_across_queue_kinds() {
     check("simulations_dispatch_identically_across_queue_kinds", &gen, |(nodes, storm)| {
         for faults in [false, true] {
             prop_assert_eq!(
-                run_with(QueueKind::BinaryHeap, *nodes, storm, faults),
-                run_with(QueueKind::Calendar, *nodes, storm, faults)
+                run_with(QueueKind::BinaryHeap, *nodes, storm, faults, None),
+                run_with(QueueKind::Calendar, *nodes, storm, faults, None)
+            );
+        }
+        Ok(())
+    });
+}
+
+/// Batched dispatch: running a storm with `try_step_until` in batches up
+/// to a series of time limits dispatches exactly what stepping one event
+/// at a time does — same per-node logs, `stats()` and lane counters — on
+/// either queue kind, under a fault plan.
+#[test]
+fn batched_dispatch_matches_per_event_steps() {
+    let gen = (
+        usizes(2..12),
+        vec_of((i64s(0..12), i64s(0..25), i64s(0..12), i64s(0..8)), 1..8),
+        vec_of(i64s(0..80), 0..6),
+    );
+    check("batched_dispatch_matches_per_event_steps", &gen, |(nodes, storm, limits)| {
+        for kind in [QueueKind::BinaryHeap, QueueKind::Calendar] {
+            prop_assert_eq!(
+                run_with(kind, *nodes, storm, true, None),
+                run_with(kind, *nodes, storm, true, Some(limits))
             );
         }
         Ok(())

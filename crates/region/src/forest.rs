@@ -5,6 +5,8 @@ use crate::ids::{FieldSpaceId, IndexPartitionId, IndexSpaceId, LogicalRegion, Re
 use il_geometry::{Domain, DomainPoint, Rect};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::OnceLock;
 
 /// Why a partition create/replace request was rejected.
 ///
@@ -152,6 +154,10 @@ pub struct RegionForest {
     /// traces keyed on a replaced partition id are invalidated rather than
     /// silently reused against the new coloring.
     generation: u64,
+    /// Content digest of each partition (see [`Self::partition_digest`]),
+    /// computed on first use and cleared when the partition is replaced,
+    /// so building a program pays nothing for it.
+    digests: Vec<OnceLock<u64>>,
 }
 
 impl RegionForest {
@@ -341,6 +347,7 @@ impl RegionForest {
         node.color_space = color_space;
         node.children = children;
         node.disjoint = disjoint;
+        self.digests[partition.0 as usize] = OnceLock::new();
         self.generation += 1;
         Ok(())
     }
@@ -403,7 +410,31 @@ impl RegionForest {
             disjoint,
         });
         self.spaces[parent.0 as usize].partitions.push(pid);
+        self.digests.push(OnceLock::new());
         pid
+    }
+
+    /// Hash of a partition's content: its parent space, color space, every
+    /// color's subspace domain, and disjointness.
+    fn digest(&self, id: IndexPartitionId) -> u64 {
+        let node = &self.partitions[id.0 as usize];
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        node.parent.hash(&mut h);
+        node.color_space.hash(&mut h);
+        for (color, &sub) in &node.children {
+            color.hash(&mut h);
+            self.spaces[sub.0 as usize].domain.hash(&mut h);
+        }
+        node.disjoint.hash(&mut h);
+        h.finish()
+    }
+
+    /// Content digest of a partition, kept current across
+    /// [`Self::replace_partition`]. Equal ids in two forests name the same
+    /// coloring only if their digests agree too, which is what lets
+    /// analysis state keyed by launch shape move between programs.
+    pub fn partition_digest(&self, id: IndexPartitionId) -> u64 {
+        *self.digests[id.0 as usize].get_or_init(|| self.digest(id))
     }
 
     /// The node for an index space.

@@ -117,8 +117,8 @@ pub struct AnalysisCacheStats {
     pub evals_saved: u64,
     /// Hits served from a tenant's *warm* state — verdicts carried over
     /// from an earlier session of the same tenant running the same
-    /// program (service mode only; always zero on the legacy path and
-    /// on a tenant's first session).
+    /// program (service mode only; always zero under [`crate::execute`]
+    /// and on a tenant's first session).
     pub warm_hits: u64,
 }
 
@@ -855,7 +855,7 @@ pub(crate) struct Expander<'p> {
     default_shard: ShardingFn,
     verdict_cache: HashMap<u64, OpSafety>,
     /// Signatures whose verdicts were pre-seeded from a tenant's warm
-    /// state (empty on the legacy path); hits on these count as
+    /// state (empty on a cold expansion); hits on these count as
     /// `warm_hits`.
     warm_sigs: HashSet<u64>,
     cache_stats: AnalysisCacheStats,
@@ -1196,11 +1196,14 @@ fn resolve(program: &Program, f: FunctorId) -> &il_analysis::ProjExpr {
 /// Hash of a launch's analysis-relevant shape. Covers the full domain
 /// (bounds, dimensionality, sparse points — not just volume), and every
 /// requirement's partition, functor, privilege (with reduction op), and
-/// field list, so distinct launch shapes do not collide. Keys both the
-/// executor's tracing replays ([`crate::exec`]) and the expansion-time
-/// analysis cache ([`AnalysisCacheStats`]); the whole-sequence trace keys
-/// ([`crate::replay`]) extend it with the region tree, field space, and
-/// sharding-functor identity.
+/// field list, so distinct launch shapes do not collide. Partitions and
+/// functors enter by id *and* by content (the forest's partition digest,
+/// the functor expression), so equal ids in two programs of one tenant
+/// share warm state only when they name the same colorings and functors.
+/// Keys both the executor's tracing replays ([`crate::exec`]) and the
+/// expansion-time analysis cache ([`AnalysisCacheStats`]); the
+/// whole-sequence trace keys ([`crate::replay`]) extend it with the
+/// region tree, field space, and sharding-functor identity.
 pub fn launch_signature(launch: &crate::program::IndexLaunchDesc, program: &Program) -> u64 {
     let mut h = DefaultHasher::new();
     launch.task.0.hash(&mut h);
@@ -1216,7 +1219,9 @@ pub fn launch_signature(launch: &crate::program::IndexLaunchDesc, program: &Prog
     }
     for r in &launch.reqs {
         r.partition.hash(&mut h);
+        program.forest.partition_digest(r.partition).hash(&mut h);
         r.functor.0.hash(&mut h);
+        program.functor(r.functor).hash(&mut h);
         std::mem::discriminant(&r.privilege).hash(&mut h);
         if let Privilege::Reduce(op) = r.privilege {
             op.hash(&mut h);

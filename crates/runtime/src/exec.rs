@@ -25,16 +25,15 @@
 
 use crate::config::{ExecutionMode, FaultConfig, RuntimeConfig};
 use crate::context::{InstanceStore, TaskContext};
-use crate::depgraph::{
-    expand_program, launch_signature, AnalysisCacheStats, ExpandedProgram, OpSafety, TaskRef,
-};
+use crate::depgraph::{launch_signature, AnalysisCacheStats, ExpandedProgram, OpSafety, TaskRef};
 use crate::program::Program;
 use crate::replay::TraceReplayStats;
 use crate::sdc::{NoReplication, ReplicationPolicy, SdcStats};
+use crate::service::{run_sessions, Fifo, ServiceConfig, Submission};
 use crate::trace::{run_audits, AuditData, AuditReport, TraceEvent, TraceLog};
 use il_machine::{
-    FaultCounters, FaultPlan, HierNetwork, MachineDesc, Network, NodeBehavior, NodeCtx, NodeId,
-    SimTime, Simulator, Stage, StageTotals, StageTraffic,
+    FaultPlan, LaneStats, MachineDesc, NodeBehavior, NodeCtx, NodeId, SimTime, Simulator, Stage,
+    StageTotals,
 };
 use il_region::{
     domain_intersection, FieldId, FieldKind, IndexSpaceId, PhysicalInstance, Privilege,
@@ -252,16 +251,15 @@ pub(crate) struct Shared<'p> {
     pub(crate) config: RuntimeConfig,
     pub(crate) machine: MachineDesc,
     /// First machine node of this session's range `[base, base +
-    /// config.nodes)`. Zero on the legacy single-program path; service
-    /// mode places each session at its slot's base. All program-level
-    /// node ids (task owners, distribution groups) stay session-local;
-    /// the executor translates at every machine boundary via
+    /// config.nodes)`: its slot's first node. All program-level node ids
+    /// (task owners, distribution groups) stay session-local; the executor
+    /// translates at every machine boundary via
     /// [`Shared::abs`]/[`Shared::local`].
     pub(crate) base: NodeId,
-    /// Admission time of this session on the shared machine clock. Zero
-    /// on the legacy path. Reported times (makespan, setup, trace-event
-    /// starts) are relative to `t0`, which is what makes a session's
-    /// report independent of when — and next to whom — it ran.
+    /// Admission time of this session on the machine clock. Reported
+    /// times (makespan, setup, trace-event starts) are relative to `t0`,
+    /// which is what makes a session's report independent of when — and
+    /// next to whom — it ran.
     pub(crate) t0: SimTime,
     /// Issuance/logical frontier per op, relative to `t0`.
     pub(crate) frontier: Vec<SimTime>,
@@ -383,8 +381,7 @@ impl<'p> Shared<'p> {
     }
 
     /// Record a trace event, translating machine node ids and absolute
-    /// times into the session frame (identity on the legacy path, where
-    /// `base` and `t0` are both zero).
+    /// times into the session frame.
     fn record(&self, mut event: TraceEvent) {
         if event.duration == SimTime::ZERO {
             return;
@@ -1383,8 +1380,8 @@ impl<'p> RtNode<'p> {
 /// The session-local node a dead assignee's work moves to: the next node
 /// in rotation *within the session's range* that never crashes in the
 /// machine's fault plan. The session's base node is crash-exempt by
-/// construction (node 0 on the legacy path, exempted slot bases in
-/// service mode), so the rotation always terminates — and spreading by
+/// construction (the plan exempts every slot base), so the rotation
+/// always terminates — and spreading by
 /// rotation (rather than dumping everything on the base) keeps recovered
 /// work balanced when several groups die.
 fn next_survivor(dead: NodeId, nodes: usize, base: NodeId, plan: &FaultPlan) -> NodeId {
@@ -1570,21 +1567,17 @@ fn op_signature(program: &Program, op: &crate::program::Operation) -> u64 {
 
 /// Assemble the per-session shared state: frontier, wait counts,
 /// physical-analysis weights, trace pre-seed, audit counters. `base`/`t0`
-/// place the session on the machine (`0`/`ZERO` on the legacy path —
-/// every derived quantity is then byte-identical to the pre-service
-/// executor). `faults` is the session's recovery runtime, built by the
-/// caller because the fault *plan* differs between the paths: the legacy
-/// path generates a plan over its own machine, the service hands every
-/// session the machine-global plan.
+/// place the session on the machine; `faults` is the session's recovery
+/// runtime over the machine's fault plan.
 pub(crate) fn build_shared<'p>(
     program: &'p Program,
-    config: &RuntimeConfig,
+    config: RuntimeConfig,
     base: NodeId,
     t0: SimTime,
     expanded: ExpandedProgram,
     faults: Option<FaultRuntime>,
 ) -> Rc<Shared<'p>> {
-    let issuance = compute_frontier(program, &expanded, config);
+    let issuance = compute_frontier(program, &expanded, &config);
 
     let waits_init: Vec<u32> = (0..expanded.len())
         .map(|t| (expanded.deps[t].len() + expanded.copies[t].len()) as u32)
@@ -1613,7 +1606,7 @@ pub(crate) fn build_shared<'p>(
     let compact_ops: Vec<bool> = expanded
         .safety
         .iter()
-        .map(|s| !config.dcr && distribution_is_compact(config, s))
+        .map(|s| !config.dcr && distribution_is_compact(&config, s))
         .collect();
 
     let machine = MachineDesc::piz_daint(config.nodes);
@@ -1677,7 +1670,7 @@ pub(crate) fn build_shared<'p>(
     Rc::new(Shared {
         program,
         expanded,
-        config: config.clone(),
+        config,
         machine,
         base,
         t0,
@@ -1704,10 +1697,7 @@ pub(crate) fn build_shared<'p>(
 
 /// Inject a session's ops (and, under faults, its acknowledgement
 /// timers) into the simulator: every op at `t0 + frontier[op]`, targeted
-/// at the session's node range. The enqueue order is identical to the
-/// pre-service executor, which is what keeps sequence-number assignment —
-/// and therefore the whole dispatch schedule — byte-identical at
-/// `base = 0`, `t0 = ZERO`.
+/// at the session's node range, in op order.
 pub(crate) fn inject_session<'p>(
     sim: &mut Simulator<Msg, RtNode<'p>>,
     shared: &Shared<'p>,
@@ -1746,31 +1736,48 @@ pub(crate) fn event_budget(total_tasks: u64, ops: usize, nodes: usize, faulted: 
     max_events
 }
 
-/// Simulator-side aggregates of one session, extracted before the shared
-/// state is unwrapped: the whole machine's counters on the legacy path,
-/// one lane's slice in service mode. All times are session-relative (the
-/// caller subtracts `t0` where it applies).
-pub(crate) struct SimAggregates {
-    /// Latest busy instant of the session's nodes, crash-clamped,
-    /// relative to the session's `t0`.
-    pub(crate) makespan: SimTime,
-    pub(crate) messages: u64,
-    pub(crate) bytes: u64,
-    pub(crate) traffic: StageTraffic,
-    pub(crate) fault_counters: FaultCounters,
-    /// Per-stage busy time of the session's nodes (issuance timeline not
-    /// yet folded in).
-    pub(crate) stage_busy: StageTotals,
-    /// Sparse per-node stage rows, session-local node ids.
-    pub(crate) node_stage_busy: Vec<(NodeId, StageTotals)>,
-}
-
-/// Assemble a [`RunReport`] from a finished session's shared state and
-/// its simulator aggregates. Field-for-field the tail of the pre-service
-/// `execute` — both paths now end here, which is what the n=1
-/// transparency tier byte-compares.
-pub(crate) fn finish_report(shared: Shared<'_>, agg: SimAggregates) -> RunReport {
+/// Assemble a finished session's [`RunReport`] from its shared state and
+/// what the simulator holds for its node range: node clocks, and
+/// `traffic`, its lane's counters accrued since admission. Node stage
+/// clocks are cumulative across the sessions a slot hosts, so `stage0`
+/// holds the range's clocks at admission. All times come out relative to
+/// the session's `t0`.
+pub(crate) fn finish_report<'p>(
+    shared: Shared<'p>,
+    sim: &Simulator<Msg, RtNode<'p>>,
+    traffic: LaneStats,
+    stage0: &[StageTotals],
+) -> RunReport {
     let t0 = shared.t0;
+    // Makespan: latest crash-clamped busy instant of the session's nodes.
+    // A node crashed in an earlier session clamps to zero contribution:
+    // work it had booked past its crash died with it.
+    let plan = sim.fault_plan();
+    let mut makespan = SimTime::ZERO;
+    let mut node_busy = StageTotals::default();
+    let mut node_stage_busy: Vec<(NodeId, StageTotals)> = Vec::new();
+    for (local, then) in stage0.iter().enumerate() {
+        let n = shared.abs(local);
+        let mut busy = sim.node_busy_until(n);
+        if let Some(ct) = plan.and_then(|p| p.crash_time(n)) {
+            busy = busy.min(ct);
+        }
+        makespan = makespan.max(busy.saturating_sub(t0));
+
+        let now = sim.node_stage(n);
+        let mut row = StageTotals::default();
+        for stage in Stage::ALL {
+            let d = now.get(stage).saturating_sub(then.get(stage));
+            if d != SimTime::ZERO {
+                row.add(stage, d);
+            }
+        }
+        node_busy.merge(&row);
+        if row.sum() != SimTime::ZERO {
+            node_stage_busy.push((local, row));
+        }
+    }
+
     let total_tasks = shared.expanded.len() as u64;
     let timing = shared.timing.into_inner();
     let setup_done = timing.setup_done.saturating_sub(t0);
@@ -1795,8 +1802,7 @@ pub(crate) fn finish_report(shared: Shared<'_>, agg: SimAggregates) -> RunReport
         )
     });
 
-    // Fault schedule counts are scoped to the session's node range —
-    // the whole machine on the legacy path.
+    // Fault schedule counts are scoped to the session's node range.
     let lo = shared.base;
     let hi = shared.base + shared.config.nodes;
     let recovery = shared.faults.as_ref().map(|fr| {
@@ -1814,9 +1820,9 @@ pub(crate) fn finish_report(shared: Shared<'_>, agg: SimAggregates) -> RunReport
             .iter()
             .filter(|&&(n, _)| n >= lo && n < hi)
             .count() as u64;
-        r.dropped = agg.fault_counters.dropped;
-        r.duplicated = agg.fault_counters.duplicated;
-        r.crash_dropped = agg.fault_counters.crash_dropped;
+        r.dropped = traffic.faults.dropped;
+        r.duplicated = traffic.faults.duplicated;
+        r.crash_dropped = traffic.faults.crash_dropped;
         r
     });
     let sdc = shared.sdc.as_ref().map(|s| s.stats.borrow().clone());
@@ -1825,22 +1831,22 @@ pub(crate) fn finish_report(shared: Shared<'_>, agg: SimAggregates) -> RunReport
     // DCR it is replicated identically on every node, so multiplying it
     // by the node count would misstate the work the paper attributes to
     // the pipeline front end.
-    let mut stage_busy = agg.stage_busy;
+    let mut stage_busy = node_busy;
     stage_busy.merge(&shared.issuance_stage);
 
     RunReport {
-        makespan: agg.makespan,
+        makespan,
         setup_done,
-        elapsed: agg.makespan.saturating_sub(setup_done),
+        elapsed: makespan.saturating_sub(setup_done),
         tasks: total_tasks,
-        messages: agg.messages,
-        bytes: agg.bytes,
+        messages: traffic.messages,
+        bytes: traffic.bytes,
         dynamic_check_time: shared.dynamic_check_time,
         issuance_span: shared.frontier.last().copied().unwrap_or(SimTime::ZERO),
         stage_busy,
-        node_stage_busy: agg.node_stage_busy,
-        stage_messages: agg.traffic.messages,
-        stage_bytes: agg.traffic.bytes,
+        node_stage_busy,
+        stage_messages: traffic.traffic.messages,
+        stage_bytes: traffic.traffic.bytes,
         trace: shared.trace.map(RefCell::into_inner),
         audit,
         store,
@@ -1851,68 +1857,20 @@ pub(crate) fn finish_report(shared: Shared<'_>, agg: SimAggregates) -> RunReport
     }
 }
 
-/// Execute `program` under `config`, returning the run report.
+/// Execute `program` under `config`, returning the run report: the
+/// program is the one session of a one-slot service over a
+/// `config.nodes`-node machine, expanded cold (no warm state).
 pub fn execute(program: &Program, config: &RuntimeConfig) -> RunReport {
-    let expanded = expand_program(program, config);
-    let total_tasks = expanded.len() as u64;
-    let faults = config.faults.as_ref().map(|fc| {
-        FaultRuntime::new(
-            fc.clone(),
-            FaultPlan::generate(fc.seed, config.nodes, &fc.to_spec()),
-            expanded.len(),
-        )
-    });
-    let shared = build_shared(program, config, 0, SimTime::ZERO, expanded, faults);
-
-    let behaviors: Vec<RtNode<'_>> = (0..config.nodes)
-        .map(|_| {
-            let mut node = RtNode::unbound();
-            node.bind(shared.clone());
-            node
-        })
-        .collect();
-    let mut sim = Simulator::new(shared.machine.clone(), Network::aries(), behaviors);
-    if let Some(spec) = &config.net_hierarchy {
-        sim = sim.with_interconnect(Box::new(HierNetwork::new(Network::aries(), spec.clone())));
-    }
-    if let Some(fr) = &shared.faults {
-        sim.set_fault_plan(fr.plan.clone());
-    }
-
-    inject_session(&mut sim, &shared, SimTime::ZERO);
-
-    // Never cap below the machine-size-derived floor: a huge machine's
-    // legitimate traffic must not trip the runaway guard.
-    let max_events = event_budget(
-        total_tasks,
-        program.ops.len(),
-        config.nodes,
-        config.faults.is_some(),
-    )
-    .max(sim.default_event_cap());
-    if let Err(err) = sim.try_run(max_events) {
-        // The guard is structured data ([`il_machine::SimError`]); at this
-        // boundary a trip still means a protocol bug, so escalate.
-        panic!("{err}");
-    }
-
-    let stats = sim.stats().clone();
-    let agg = SimAggregates {
-        makespan: sim.makespan(),
-        messages: stats.messages,
-        bytes: stats.bytes,
-        traffic: stats.traffic,
-        fault_counters: stats.faults,
-        // Simulator-side per-node stage busy time (distribution,
-        // physical, exec, network); the analytic issuance timeline is
-        // not per-node.
-        stage_busy: sim.stage_totals(),
-        node_stage_busy: sim.node_stage_busy(),
+    let machine = ServiceConfig {
+        slots: 1,
+        slot_nodes: config.nodes,
+        queue_cap: 1,
+        faults: config.faults.clone(),
+        replication_overrides: Vec::new(),
     };
-    drop(sim);
-    let shared = Rc::try_unwrap(shared)
-        .unwrap_or_else(|_| panic!("simulator retained shared state"));
-    finish_report(shared, agg)
+    let session = Submission { tenant: 0, priority: 0, arrival: SimTime::ZERO, program, config };
+    let mut out = run_sessions(&machine, &mut Fifo, None, &[session]);
+    out.sessions.pop().expect("a lone session is admitted").report
 }
 
 #[cfg(test)]

@@ -28,28 +28,31 @@
 //!   only affects host-side expansion statistics — never simulated time
 //!   or results.
 //!
-//! **Transparency at n=1.** A service with one slot, one pending
-//! session, and a fault config equal to the session's own produces a
-//! [`RunReport`] byte-identical to [`crate::execute`]: same machine
-//! size, same fault plan (the per-slot-base exemption is a no-op at
-//! width 1 because plans never fault node 0), same injection order, and
-//! the same [`finish_report`] tail. The service-mode test tier locks
-//! this equivalence across the safety matrix and an oracle-corpus slice.
+//! **Transparency at n=1.** There is one execution path:
+//! [`crate::execute`] is a one-slot service running its program as the
+//! sole session, cold (no warm state). A one-slot service running one
+//! session therefore produces the [`RunReport`] `execute` does by
+//! construction — same machine, fault plan, injection order, dispatch
+//! loop, and report assembly. The only thing a service adds is its
+//! tenants' warm state: empty for a tenant's first session, so that
+//! session matches `execute` exactly, and afterwards visible only in
+//! host-side reuse counters, never in a verdict, task graph, or simulated
+//! time. The service-mode test tier locks this across the safety matrix
+//! and an oracle-corpus slice.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
 use il_machine::{
-    FaultCounters, FaultPlan, LaneStats, MachineDesc, Network, NodeId, SimTime, Stage, StageTotals,
-    StageTraffic, Simulator,
+    FaultPlan, HierNetwork, LaneStats, MachineDesc, Network, SimTime, Simulator, StageTotals,
 };
 
 use crate::config::{FaultConfig, RuntimeConfig};
-use crate::depgraph::{expand_program_warm, launch_signature, WarmState};
+use crate::depgraph::{expand_program, expand_program_warm, launch_signature, WarmState};
 use crate::exec::{
     build_shared, event_budget, finish_report, inject_session, FaultRuntime, Msg, RtNode,
-    RunReport, Shared, SimAggregates,
+    RunReport, Shared,
 };
 use crate::program::Program;
 use crate::sdc::ReplicationConfig;
@@ -70,8 +73,10 @@ pub struct SessionSpec {
     /// meaningful) without cloning the program body.
     pub program: Rc<Program>,
     /// Per-session runtime configuration. `config.nodes` must equal the
-    /// service's slot width and `net_hierarchy` must be `None` (the
-    /// shared machine has one interconnect).
+    /// service's slot width. The machine has one interconnect, so
+    /// `net_hierarchy` must be `None` unless the service has one slot
+    /// (the session is then the whole machine) and every session names
+    /// the same hierarchy.
     pub config: RuntimeConfig,
 }
 
@@ -277,19 +282,25 @@ pub struct ServiceReport {
     pub rounds: u64,
 }
 
-/// A session occupying a slot: its shared state plus the lane/clock
-/// snapshots taken at admission, from which completion-time deltas
-/// reconstruct solo-run aggregates.
+/// A submission as the admission loop sees it: a [`SessionSpec`] with
+/// the program borrowed, so [`crate::execute`] can submit a program it
+/// does not own.
+pub(crate) struct Submission<'p> {
+    pub(crate) tenant: u32,
+    pub(crate) priority: u32,
+    pub(crate) arrival: SimTime,
+    pub(crate) program: &'p Program,
+    pub(crate) config: &'p RuntimeConfig,
+}
+
+/// A session occupying a slot: its shared state plus the lane and clock
+/// snapshots taken at admission (slot counters are cumulative across the
+/// sessions a slot hosts; the session's own share is the delta).
 struct Active<'p> {
     submit_idx: usize,
-    tenant: u32,
-    priority: u32,
-    arrival: SimTime,
     shared: Rc<Shared<'p>>,
-    admitted: SimTime,
     wait_rounds: u64,
-    /// Lane counters at admission (lane stats are cumulative across the
-    /// sessions a slot hosts; the session's own traffic is the delta).
+    /// Lane counters at admission.
     lane0: LaneStats,
     /// Per-node stage clocks at admission, indexed by local node id.
     stage0: Vec<StageTotals>,
@@ -339,327 +350,292 @@ impl Service {
     /// returns when every admitted session has finished. Warm state
     /// persists on `self` for subsequent batches.
     pub fn run(&mut self, sessions: &[SessionSpec]) -> ServiceReport {
-        let slots = self.cfg.slots;
-        let slot_nodes = self.cfg.slot_nodes;
-        let total = slots * slot_nodes;
-        for (i, s) in sessions.iter().enumerate() {
-            assert_eq!(
-                s.config.nodes, slot_nodes,
-                "session {i}: config.nodes must equal the service slot width"
-            );
-            assert!(
-                s.config.net_hierarchy.is_none(),
-                "session {i}: per-session interconnects are not supported in service mode"
-            );
-        }
-
-        let mut order: Vec<usize> = (0..sessions.len()).collect();
-        order.sort_by_key(|&i| (sessions[i].arrival, i));
-
-        let behaviors: Vec<RtNode<'_>> = (0..total).map(|_| RtNode::unbound()).collect();
-        let mut sim = Simulator::new(MachineDesc::piz_daint(total), Network::aries(), behaviors);
-        sim.enable_lanes((0..total).map(|n| (n / slot_nodes) as u32).collect(), slots);
-        let plan = self.cfg.faults.as_ref().map(|fc| {
-            FaultPlan::generate(fc.seed, total, &fc.to_spec())
-                .with_exempt_nodes(|n| n % slot_nodes == 0)
-        });
-        if let Some(p) = &plan {
-            sim.set_fault_plan(p.clone());
-        }
-
-        let slot_ready = |sim: &Simulator<Msg, RtNode<'_>>, slot: usize| -> SimTime {
-            (slot * slot_nodes..(slot + 1) * slot_nodes)
-                .map(|n| sim.node_busy_until(n))
-                .max()
-                .unwrap_or(SimTime::ZERO)
-        };
-
-        // Pending queue in arrival order: `(submission index, rounds waited)`.
-        let mut pending: Vec<(usize, u64)> = Vec::new();
-        let mut active: Vec<Option<Active<'_>>> = (0..slots).map(|_| None).collect();
-        let mut done: Vec<Option<SessionReport>> = (0..sessions.len()).map(|_| None).collect();
-        let mut rejected: Vec<usize> = Vec::new();
-        let mut next_arr = 0usize;
-        let mut rounds = 0u64;
-        let mut now = SimTime::ZERO;
-        // Runaway guard: accumulated per-admission budgets, floored by
-        // the machine-sized cap exactly like the single-program path.
-        let mut budget: u64 = 0;
-        let mut dispatched: u64 = 0;
-        let floor = sim.default_event_cap();
-
-        loop {
-            // 1. Ingest arrivals due at or before `now`; reject on a
-            //    full queue (backpressure).
-            while next_arr < order.len() && sessions[order[next_arr]].arrival <= now {
-                let i = order[next_arr];
-                next_arr += 1;
-                if pending.len() >= self.cfg.queue_cap {
-                    rejected.push(i);
-                } else {
-                    pending.push((i, 0));
-                }
-            }
-
-            // 2. Finalize drained slots: a lane with zero outstanding
-            //    events has nothing left in flight or queued.
-            for s in 0..slots {
-                if active[s].is_some() && sim.lane_outstanding(s) == 0 {
-                    let a = active[s].take().unwrap();
-                    let rep = finalize_session(&mut sim, plan.as_ref(), a, s, slot_nodes);
-                    self.policy.on_complete(rep.tenant, rep.report.makespan);
-                    let idx = rep.submit_idx;
-                    done[idx] = Some(rep);
-                }
-            }
-
-            // 3. Admission round: offer every currently-ready free slot
-            //    to the policy.
-            if !pending.is_empty() {
-                let mut admitted_any = false;
-                loop {
-                    if pending.is_empty() {
-                        break;
-                    }
-                    let Some(s) = (0..slots)
-                        .find(|&s| active[s].is_none() && slot_ready(&sim, s) <= now)
-                    else {
-                        break;
-                    };
-                    let views: Vec<PendingView> = pending
-                        .iter()
-                        .map(|&(i, waited)| PendingView {
-                            submit_idx: i,
-                            tenant: sessions[i].tenant,
-                            priority: sessions[i].priority,
-                            arrival: sessions[i].arrival,
-                            waited_rounds: waited,
-                        })
-                        .collect();
-                    let Some(k) = self.policy.pick(&views, now) else { break };
-                    let (i, waited) = pending.remove(k);
-                    let spec = &sessions[i];
-                    self.policy.on_admit(spec.tenant, now);
-                    admitted_any = true;
-
-                    // Admit session `i` on slot `s` at `t0 = now`,
-                    // applying the tenant's replication tier (if any)
-                    // over its submitted config.
-                    let base = s * slot_nodes;
-                    let mut session_cfg = spec.config.clone();
-                    if let Some((_, r)) = self
-                        .cfg
-                        .replication_overrides
-                        .iter()
-                        .find(|(t, _)| *t == spec.tenant)
-                    {
-                        session_cfg.replication = Some(r.clone());
-                    }
-                    let warm = self
-                        .warm
-                        .entry((spec.tenant, program_fingerprint(&spec.program)))
-                        .or_default();
-                    let expanded = expand_program_warm(&spec.program, &session_cfg, Some(warm));
-                    let total_tasks = expanded.len() as u64;
-                    let faults = self.cfg.faults.as_ref().map(|fc| {
-                        FaultRuntime::new(
-                            fc.clone(),
-                            plan.clone().expect("plan exists when faults configured"),
-                            expanded.len(),
-                        )
-                    });
-                    budget = budget.saturating_add(event_budget(
-                        total_tasks,
-                        spec.program.ops.len(),
-                        slot_nodes,
-                        faults.is_some(),
-                    ));
-                    let shared =
-                        build_shared(&spec.program, &session_cfg, base, now, expanded, faults);
-                    for n in base..base + slot_nodes {
-                        sim.node_mut(n).bind(shared.clone());
-                    }
-                    inject_session(&mut sim, &shared, now);
-                    active[s] = Some(Active {
-                        submit_idx: i,
-                        tenant: spec.tenant,
-                        priority: spec.priority,
-                        arrival: spec.arrival,
-                        shared,
-                        admitted: now,
-                        wait_rounds: waited,
-                        lane0: sim.lane_stats(s),
-                        stage0: (base..base + slot_nodes)
-                            .map(|n| sim.node_stage(n))
-                            .collect(),
-                    });
-                }
-                if admitted_any {
-                    rounds += 1;
-                    for p in &mut pending {
-                        p.1 += 1;
-                    }
-                }
-            }
-
-            // 4. Advance: the next instant is the earliest of the event
-            //    queue, the next arrival, and (when sessions wait) the
-            //    next free slot becoming ready.
-            let t_event = sim.peek_time();
-            let t_arr = if next_arr < order.len() {
-                Some(sessions[order[next_arr]].arrival)
-            } else {
-                None
-            };
-            let t_slot = if pending.is_empty() {
-                None
-            } else {
-                (0..slots)
-                    .filter(|&s| active[s].is_none())
-                    .map(|s| slot_ready(&sim, s))
-                    .filter(|&t| t > now)
-                    .min()
-            };
-            let next = [t_event, t_arr, t_slot].into_iter().flatten().min();
-            match next {
-                Some(t) if t_event == Some(t) => {
-                    // Events first on ties: injected work at `t` must run
-                    // before `t`-time admissions enqueue behind it.
-                    match sim.try_step() {
-                        Ok(true) => {
-                            dispatched += 1;
-                            assert!(
-                                dispatched <= budget.max(floor),
-                                "service event budget exceeded: {dispatched} events \
-                                 (protocol runaway)"
-                            );
-                            now = now.max(sim.now());
-                        }
-                        Ok(false) => unreachable!("peeked event vanished"),
-                        Err(err) => panic!("{err}"),
-                    }
-                }
-                Some(t) => now = t,
-                None => {
-                    assert!(
-                        pending.is_empty(),
-                        "scheduling stalled: policy `{}` held {} pending session(s) \
-                         with free slots and an idle machine",
-                        self.policy.name(),
-                        pending.len()
-                    );
-                    break;
-                }
-            }
-        }
-
-        // Drain check once more: the loop exits when the event queue is
-        // empty, which can leave the final sessions' lanes drained but
-        // unfinalized.
-        for s in 0..slots {
-            if let Some(a) = active[s].take() {
-                assert_eq!(sim.lane_outstanding(s), 0, "service ended with slot {s} busy");
-                let rep = finalize_session(&mut sim, plan.as_ref(), a, s, slot_nodes);
-                self.policy.on_complete(rep.tenant, rep.report.makespan);
-                let idx = rep.submit_idx;
-                done[idx] = Some(rep);
-            }
-        }
-
-        let sessions_out: Vec<SessionReport> = done.into_iter().flatten().collect();
-        let makespan = sessions_out
+        let submissions: Vec<Submission<'_>> = sessions
             .iter()
-            .map(|r| r.finished)
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        ServiceReport {
-            sessions: sessions_out,
-            rejected,
-            policy: self.policy.name().to_string(),
-            makespan,
-            rounds,
-        }
+            .map(|s| Submission {
+                tenant: s.tenant,
+                priority: s.priority,
+                arrival: s.arrival,
+                program: &s.program,
+                config: &s.config,
+            })
+            .collect();
+        run_sessions(&self.cfg, self.policy.as_mut(), Some(&mut self.warm), &submissions)
     }
 }
 
-/// Unbind a finished session's nodes and reconstruct its solo-run
-/// aggregates from lane and node-clock deltas against the admission
-/// snapshots (slot counters are cumulative across the sessions a slot
-/// hosts). All times come out relative to the session's `t0`, which is
-/// exactly the [`SimAggregates`] contract [`finish_report`] expects.
-fn finalize_session<'p>(
-    sim: &mut Simulator<Msg, RtNode<'p>>,
-    plan: Option<&FaultPlan>,
-    a: Active<'p>,
-    slot: usize,
-    slot_nodes: usize,
-) -> SessionReport {
-    let base = slot * slot_nodes;
-    for n in base..base + slot_nodes {
-        sim.node_mut(n).unbind();
-    }
-    let lane1 = sim.lane_stats(slot);
-    let t0 = a.admitted;
+type Sim<'p> = Simulator<Msg, RtNode<'p>>;
 
-    // Session makespan: latest crash-clamped busy instant of its nodes,
-    // relative to t0. A node crashed in an earlier epoch clamps to zero
-    // contribution, matching the solo simulator's crash clamp.
-    let mut makespan = SimTime::ZERO;
-    let mut stage_busy = StageTotals::default();
-    let mut node_stage_busy: Vec<(NodeId, StageTotals)> = Vec::new();
-    for (local, n) in (base..base + slot_nodes).enumerate() {
-        let mut busy = sim.node_busy_until(n);
-        if let Some(ct) = plan.and_then(|p| p.crash_time(n)) {
-            busy = busy.min(ct);
-        }
-        makespan = makespan.max(busy.saturating_sub(t0));
-
-        let cur = sim.node_stage(n);
-        let mut row = StageTotals::default();
-        for stage in Stage::ALL {
-            let d = cur.get(stage).saturating_sub(a.stage0[local].get(stage));
-            if d != SimTime::ZERO {
-                row.add(stage, d);
-            }
-        }
-        stage_busy.merge(&row);
-        if row.sum() != SimTime::ZERO {
-            node_stage_busy.push((local, row));
-        }
+/// The admission loop behind both [`Service::run`] and
+/// [`crate::execute`]: build the machine, admit `sessions` onto its slots
+/// in the order `policy` picks, drive the simulator until every admitted
+/// session has drained, and report each one. With `warm`, a session
+/// expands against its tenant's warm state; without, it expands cold.
+pub(crate) fn run_sessions(
+    cfg: &ServiceConfig,
+    policy: &mut dyn SchedulingPolicy,
+    mut warm: Option<&mut HashMap<(u32, u64), WarmState>>,
+    sessions: &[Submission<'_>],
+) -> ServiceReport {
+    let slots = cfg.slots;
+    let slot_nodes = cfg.slot_nodes;
+    let total = slots * slot_nodes;
+    // The machine has one interconnect, so a session brings its own only
+    // when it is the whole machine: on a one-slot service.
+    let hierarchy = match sessions.first() {
+        Some(s) if slots == 1 => s.config.net_hierarchy.clone(),
+        _ => None,
+    };
+    for (i, s) in sessions.iter().enumerate() {
+        assert_eq!(
+            s.config.nodes, slot_nodes,
+            "session {i}: config.nodes must equal the service slot width"
+        );
+        assert!(
+            s.config.net_hierarchy == hierarchy,
+            "session {i}: a per-session interconnect needs a one-slot service \
+             whose sessions all share it"
+        );
     }
 
-    let mut traffic = StageTraffic::default();
-    for i in 0..Stage::COUNT {
-        traffic.messages[i] = lane1.traffic.messages[i] - a.lane0.traffic.messages[i];
-        traffic.bytes[i] = lane1.traffic.bytes[i] - a.lane0.traffic.bytes[i];
+    let mut order: Vec<usize> = (0..sessions.len()).collect();
+    order.sort_by_key(|&i| (sessions[i].arrival, i));
+
+    let behaviors: Vec<RtNode<'_>> = (0..total).map(|_| RtNode::unbound()).collect();
+    let mut sim = Simulator::new(MachineDesc::piz_daint(total), Network::aries(), behaviors);
+    if let Some(spec) = hierarchy {
+        sim = sim.with_interconnect(Box::new(HierNetwork::new(Network::aries(), spec)));
     }
-    let agg = SimAggregates {
-        makespan,
-        messages: lane1.messages - a.lane0.messages,
-        bytes: lane1.bytes - a.lane0.bytes,
-        traffic,
-        fault_counters: FaultCounters {
-            dropped: lane1.faults.dropped - a.lane0.faults.dropped,
-            duplicated: lane1.faults.duplicated - a.lane0.faults.duplicated,
-            crash_dropped: lane1.faults.crash_dropped - a.lane0.faults.crash_dropped,
-        },
-        stage_busy,
-        node_stage_busy,
+    if slots > 1 {
+        sim.enable_lanes((0..total).map(|n| (n / slot_nodes) as u32).collect(), slots);
+    }
+    if let Some(fc) = &cfg.faults {
+        sim.set_fault_plan(
+            FaultPlan::generate(fc.seed, total, &fc.to_spec())
+                .with_exempt_nodes(|n| n % slot_nodes == 0),
+        );
+    }
+
+    let slot_ready = |sim: &Sim<'_>, slot: usize| -> SimTime {
+        (slot * slot_nodes..(slot + 1) * slot_nodes)
+            .map(|n| sim.node_busy_until(n))
+            .max()
+            .unwrap_or(SimTime::ZERO)
     };
 
-    let Active { submit_idx, tenant, priority, arrival, shared, admitted, wait_rounds, .. } = a;
-    let shared = Rc::try_unwrap(shared)
-        .unwrap_or_else(|_| panic!("simulator retained shared state after unbind"));
-    let report = finish_report(shared, agg);
-    SessionReport {
-        submit_idx,
-        tenant,
-        priority,
-        arrival,
-        admitted,
-        finished: admitted + report.makespan,
-        slot,
-        wait_rounds,
-        report,
+    // Pending queue in arrival order: `(submission index, rounds waited)`.
+    let mut pending: Vec<(usize, u64)> = Vec::new();
+    let mut active: Vec<Option<Active<'_>>> = (0..slots).map(|_| None).collect();
+    let mut done: Vec<Option<SessionReport>> = (0..sessions.len()).map(|_| None).collect();
+    let mut rejected: Vec<usize> = Vec::new();
+    let mut next_arr = 0usize;
+    let mut rounds = 0u64;
+    let mut now = SimTime::ZERO;
+    // Runaway guard: accumulated per-admission budgets, never below the
+    // machine-sized cap (a huge machine's legitimate traffic must not
+    // trip it).
+    let mut budget: u64 = 0;
+    let mut dispatched: u64 = 0;
+    let floor = sim.default_event_cap();
+    let mut step_until = |sim: &mut Sim<'_>, limit: SimTime, budget: u64| -> bool {
+        match sim.try_step_until(limit) {
+            Ok(stepped) => {
+                dispatched += u64::from(stepped);
+                assert!(
+                    dispatched <= budget.max(floor),
+                    "event budget exceeded: {dispatched} events (protocol runaway)"
+                );
+                stepped
+            }
+            Err(err) => panic!("{err}"),
+        }
+    };
+
+    loop {
+        // 1. Ingest arrivals due at or before `now`; reject on a full
+        //    queue (backpressure).
+        while next_arr < order.len() && sessions[order[next_arr]].arrival <= now {
+            let i = order[next_arr];
+            next_arr += 1;
+            if pending.len() >= cfg.queue_cap {
+                rejected.push(i);
+            } else {
+                pending.push((i, 0));
+            }
+        }
+
+        // 2. Report the sessions whose slots drained.
+        finalize_drained(&mut sim, &mut active, sessions, policy, &mut done);
+
+        // 3. Admission round: offer every currently-ready free slot to
+        //    the policy.
+        let mut admitted_any = false;
+        while !pending.is_empty() {
+            let Some(s) = (0..slots).find(|&s| active[s].is_none() && slot_ready(&sim, s) <= now)
+            else {
+                break;
+            };
+            let views: Vec<PendingView> = pending
+                .iter()
+                .map(|&(i, waited)| PendingView {
+                    submit_idx: i,
+                    tenant: sessions[i].tenant,
+                    priority: sessions[i].priority,
+                    arrival: sessions[i].arrival,
+                    waited_rounds: waited,
+                })
+                .collect();
+            let Some(k) = policy.pick(&views, now) else { break };
+            let (i, waited) = pending.remove(k);
+            let spec = &sessions[i];
+            policy.on_admit(spec.tenant, now);
+            admitted_any = true;
+
+            // Admit session `i` on slot `s` at `t0 = now`, applying the
+            // tenant's replication tier (if any) over its submitted config.
+            let base = s * slot_nodes;
+            let mut session_cfg = spec.config.clone();
+            if let Some((_, r)) = cfg.replication_overrides.iter().find(|(t, _)| *t == spec.tenant)
+            {
+                session_cfg.replication = Some(r.clone());
+            }
+            let expanded = match warm.as_deref_mut() {
+                Some(warm) => {
+                    let state =
+                        warm.entry((spec.tenant, program_fingerprint(spec.program))).or_default();
+                    expand_program_warm(spec.program, &session_cfg, Some(state))
+                }
+                None => expand_program(spec.program, &session_cfg),
+            };
+            let faults = cfg.faults.as_ref().map(|fc| {
+                let plan = sim.fault_plan().expect("plan installed when faults configured");
+                FaultRuntime::new(fc.clone(), plan.clone(), expanded.len())
+            });
+            budget = budget.saturating_add(event_budget(
+                expanded.len() as u64,
+                spec.program.ops.len(),
+                slot_nodes,
+                faults.is_some(),
+            ));
+            let shared = build_shared(spec.program, session_cfg, base, now, expanded, faults);
+            for n in base..base + slot_nodes {
+                sim.node_mut(n).bind(shared.clone());
+            }
+            inject_session(&mut sim, &shared, now);
+            active[s] = Some(Active {
+                submit_idx: i,
+                shared,
+                wait_rounds: waited,
+                lane0: sim.lane_stats(s),
+                stage0: (base..base + slot_nodes).map(|n| sim.node_stage(n)).collect(),
+            });
+        }
+        if admitted_any {
+            rounds += 1;
+            for p in &mut pending {
+                p.1 += 1;
+            }
+        }
+
+        // 4. Advance to the next instant: the earliest of the next event,
+        //    the next arrival, and (when sessions wait) the next free slot
+        //    becoming ready.
+        let t_arr = order.get(next_arr).map(|&i| sessions[i].arrival);
+        let t_slot = if pending.is_empty() {
+            None
+        } else {
+            (0..slots)
+                .filter(|&s| active[s].is_none())
+                .map(|s| slot_ready(&sim, s))
+                .filter(|&t| t > now)
+                .min()
+        };
+        let horizon = [t_arr, t_slot].into_iter().flatten().min();
+        if pending.is_empty() {
+            // Nothing can be admitted before the next arrival: dispatch
+            // every event due strictly before it in one batch.
+            let before = horizon.map_or(SimTime::MAX, |t| t.saturating_sub(SimTime::ns(1)));
+            while step_until(&mut sim, before, budget) {}
+            now = now.max(sim.now());
+        }
+        // Events first on ties: injected work at `t` must run before
+        // `t`-time admissions enqueue behind it.
+        if step_until(&mut sim, horizon.unwrap_or(SimTime::MAX), budget) {
+            now = now.max(sim.now());
+            continue;
+        }
+        match horizon {
+            Some(t) => now = t,
+            None => {
+                assert!(
+                    pending.is_empty(),
+                    "scheduling stalled: policy `{}` held {} pending session(s) \
+                     with free slots and an idle machine",
+                    policy.name(),
+                    pending.len()
+                );
+                break;
+            }
+        }
+    }
+
+    // The loop exits when the event queue is empty, which can leave the
+    // final sessions' lanes drained but unreported.
+    finalize_drained(&mut sim, &mut active, sessions, policy, &mut done);
+    assert!(active.iter().all(Option::is_none), "service ended with a slot busy");
+
+    let sessions_out: Vec<SessionReport> = done.into_iter().flatten().collect();
+    let makespan = sessions_out
+        .iter()
+        .map(|r| r.finished)
+        .max()
+        .unwrap_or(SimTime::ZERO);
+    ServiceReport {
+        sessions: sessions_out,
+        rejected,
+        policy: policy.name().to_string(),
+        makespan,
+        rounds,
+    }
+}
+
+/// Report every active session whose lane has drained — zero
+/// outstanding events, so nothing is left in flight or queued — and free
+/// its slot.
+fn finalize_drained<'p>(
+    sim: &mut Sim<'p>,
+    active: &mut [Option<Active<'p>>],
+    sessions: &[Submission<'_>],
+    policy: &mut dyn SchedulingPolicy,
+    done: &mut [Option<SessionReport>],
+) {
+    for (slot, entry) in active.iter_mut().enumerate() {
+        if sim.lane_outstanding(slot) != 0 {
+            continue;
+        }
+        let Some(Active { submit_idx, shared, wait_rounds, lane0, stage0 }) = entry.take() else {
+            continue;
+        };
+        for local in 0..stage0.len() {
+            sim.node_mut(shared.abs(local)).unbind();
+        }
+        let shared = Rc::try_unwrap(shared)
+            .unwrap_or_else(|_| panic!("simulator retained shared state after unbind"));
+        let admitted = shared.t0;
+        let traffic = sim.lane_stats(slot).since(&lane0);
+        let report = finish_report(shared, sim, traffic, &stage0);
+        let spec = &sessions[submit_idx];
+        policy.on_complete(spec.tenant, report.makespan);
+        done[submit_idx] = Some(SessionReport {
+            submit_idx,
+            tenant: spec.tenant,
+            priority: spec.priority,
+            arrival: spec.arrival,
+            admitted,
+            finished: admitted + report.makespan,
+            slot,
+            wait_rounds,
+            report,
+        });
     }
 }

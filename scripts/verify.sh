@@ -42,6 +42,15 @@ cargo build --release --offline
 echo "== cargo test -q =="
 cargo test -q --offline
 
+echo "== benchmark build + self-test (perfbench, stencil-armed-1024) =="
+# perfbench is its own cargo workspace on path dependencies to the crates
+# above, so the workspace build does not compile it: build it here, so an
+# API change that breaks the benchmark fails CI instead of the benchmark
+# run. The self-test then checks one workload's metric names, units and
+# run-to-run determinism.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+python3 perfbench/selftest.py stencil-armed-1024
+
 echo "== differential fuzz smoke (release, 200 seeded programs) =="
 cargo run --release --offline -q -p il-apps --bin ilaunch -- fuzz --cases 200 --seed 42
 

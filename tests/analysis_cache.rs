@@ -7,12 +7,18 @@
 //! Locked in over the 500-seed differential-oracle corpus and the four
 //! safety-matrix applications, plus a unit test that launches colliding
 //! on domain volume (the classic signature-hash trap) still get
-//! distinct cache entries.
+//! distinct cache entries, and a service regression that two programs
+//! whose partition and functor ids coincide never share a tenant's warm
+//! verdicts.
 
 use il_oracle::generate_program;
 use il_testkit::SplitMix64;
 use index_launch::prelude::*;
-use index_launch::runtime::{execute, expand_program, Program, RuntimeConfig};
+use index_launch::runtime::{
+    execute, expand_program, policy_by_name, Program, RuntimeConfig, Service, ServiceConfig,
+    SessionSpec,
+};
+use std::rc::Rc;
 
 const NODES: usize = 2;
 
@@ -194,6 +200,52 @@ fn volume_colliding_launches_get_distinct_cache_entries() {
 /// An opaque-functor program (from the safety matrix): one identity
 /// launch and one opaque reversed-write launch, forcing the dynamic
 /// check path through the cache machinery.
+/// Regression: launch signatures once hashed partition and functor *ids*
+/// only, so fuzzer programs 106 and 910 — equal ids and launch domains,
+/// different colorings — had one program fingerprint, and a tenant
+/// running both reused the first program's verdicts for the second. In
+/// one order that tripped the expansion's safety assertion ("declared op
+/// 0 safe but tasks 0 and 2 interfere"), in the other it silently
+/// changed the simulated schedule. Run warm, the second session must
+/// equal a cold `execute`.
+#[test]
+fn warm_verdicts_never_cross_programs_with_equal_ids() {
+    let cfg = RuntimeConfig::scale(NODES);
+    for (first, second) in [(106, 910), (910, 106)] {
+        let programs = [first, second].map(|seed| Rc::new(generate_program(seed)));
+        let mut svc = Service::new(
+            ServiceConfig {
+                slots: 1,
+                slot_nodes: NODES,
+                queue_cap: 2,
+                faults: None,
+                replication_overrides: vec![],
+            },
+            policy_by_name("fifo"),
+        );
+        let sessions: Vec<SessionSpec> = programs
+            .iter()
+            .enumerate()
+            .map(|(i, program)| SessionSpec {
+                tenant: 0,
+                priority: 0,
+                arrival: SimTime::us(i as u64),
+                program: program.clone(),
+                config: cfg.clone(),
+            })
+            .collect();
+        let out = svc.run(&sessions);
+        assert_eq!(svc.warm_entries(0), 2, "{first} and {second} share a warm entry");
+        let warm = &out.sessions[1].report;
+        let cold = execute(&programs[1], &cfg);
+        assert_eq!(
+            (warm.makespan, warm.stage_json().to_string()),
+            (cold.makespan, cold.stage_json().to_string()),
+            "program {second} after {first}: warm session differs from cold execute"
+        );
+    }
+}
+
 fn opaque_program() -> Program {
     use index_launch::machine::SimTime;
     use index_launch::runtime::{CostSpec, IndexLaunchDesc, ProgramBuilder, RegionReq};
