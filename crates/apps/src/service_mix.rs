@@ -17,7 +17,9 @@
 //!   arrival order, so light sessions wait for the burst to drain; fair
 //!   share charges the heavy tenant its accumulated service time after
 //!   the first completion and routes every later slot to the light
-//!   tenants — the measurable p99 gap `figures -- serve` reports.
+//!   tenants — the measurable p99 gap that
+//!   `tests/service_mode.rs::fair_share_beats_fifo_tail_on_skewed_mix`
+//!   pins.
 //!
 //! Generation is a pure function of the seed: the same `MixConfig`
 //! yields byte-identical session streams (programs included), which is

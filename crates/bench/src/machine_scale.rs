@@ -4,8 +4,9 @@
 //! allocation. This sweep measures the *simulator itself* well past
 //! that: a relay storm whose event count grows linearly with the node
 //! count (weak scaling) is dispatched at 16k–1M simulated nodes, and
-//! the wall-clock events-per-second rate is recorded to
-//! `BENCH_PR7.json`.
+//! the wall-clock events-per-second rate is printed per point. Every
+//! point is on the calendar-queue side (≥ 4096 nodes) of
+//! `QueueKind::Auto`, which the `perfbench` workloads do not reach.
 //!
 //! Each point runs the identical storm twice over two configurations:
 //!
@@ -25,7 +26,6 @@ use il_machine::{
     FaultPlan, FaultSpec, MachineDesc, Network, NodeBehavior, NodeCtx, QueueKind, SimTime,
     Simulator, Stage,
 };
-use il_testkit::Json;
 use std::time::Instant;
 
 /// Relay hops per injected seed message. Every hop is one network
@@ -211,36 +211,6 @@ impl ScaleSweep {
             out.push_str(&format!("  {nodes} nodes: new path {s:.1}x legacy events/s\n"));
         }
         out
-    }
-
-    /// The sweep as a `BENCH_PR7.json` trajectory document.
-    pub fn to_json(&self) -> Json {
-        let points: Vec<Json> = self
-            .points
-            .iter()
-            .map(|p| {
-                Json::obj()
-                    .set("nodes", p.nodes)
-                    .set("path", if p.legacy { "legacy" } else { "new" })
-                    .set("queue", p.queue)
-                    .set("events", p.events)
-                    .set("faults", p.faults)
-                    .set("wall_ns", p.wall_ns)
-                    .set("events_per_sec", p.events_per_sec)
-                    .set("nodes_per_sec", p.nodes_per_sec)
-            })
-            .collect();
-        let speedups: Vec<Json> = self
-            .speedups
-            .iter()
-            .map(|(nodes, s)| Json::obj().set("nodes", *nodes).set("speedup", *s))
-            .collect();
-        Json::obj()
-            .set("schema", "il-bench-trajectory-v1")
-            .set("pr", "PR7")
-            .set("ttl", TTL as u64)
-            .set("weak_scaling", Json::Arr(points))
-            .set("speedup_vs_legacy", Json::Arr(speedups))
     }
 }
 

@@ -179,8 +179,8 @@ pub struct OpDist {
 /// (fresh or replayed) must produce. `replay_ns` is the replay
 /// subsystem's own footprint: key hashing, window detection, entry
 /// validation, and oracle exit-state bookkeeping. The per-iteration
-/// analysis overhead compared across replay on/off in `BENCH_PR6.json`
-/// is `analysis_ns + replay_ns`.
+/// analysis overhead that replay exists to cut is
+/// `analysis_ns + replay_ns`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExpandProfile {
     /// Safety verdicts, oracle dependence scans, distribution planning.

@@ -65,9 +65,12 @@ fn golden_apps() -> Vec<(&'static str, Program)> {
     ]
 }
 
-/// Leg 1: replicate-2 defense catches every seeded flip on every golden
-/// app — zero escapes, final data byte-equal to the fault-free store,
-/// and the verification overhead never makes the run faster.
+/// Leg 1: replicate-k defense (k = 2, the digest vote, and k = 3, a
+/// deeper vote) catches every seeded flip on every golden app — zero
+/// escapes, final data byte-equal to the fault-free store, and the
+/// verification overhead never makes the run faster than the fault-free
+/// run or the undefended (k = 1) run under the same corruption. A deeper
+/// vote never runs fewer replicas.
 #[test]
 fn defended_runs_converge_to_fault_free_stores() {
     for (name, program) in golden_apps() {
@@ -75,56 +78,79 @@ fn defended_runs_converge_to_fault_free_stores() {
         let clean = execute(&program, &clean_cfg);
         assert!(clean.sdc.is_none(), "{name}: clean run must not carry SDC stats");
         for seed in [1_u64, 2, 3, 42, 0x5DC0, 0xBADBEEF] {
-            let cfg = clean_cfg
-                .clone()
-                .with_corruption(seed)
-                .with_replication(ReplicationConfig::all(2));
-            let defended = execute(&program, &cfg);
-            let sdc = defended.sdc.clone().expect("corrupting run must carry SDC stats");
-            assert_eq!(
-                sdc.escaped, 0,
-                "{name}/seed {seed:#x}: corrupted outputs escaped the vote: {sdc:?}"
+            let undefended = execute(
+                &program,
+                &clean_cfg.clone().with_corruption(seed).with_replication(ReplicationConfig::all(1)),
             );
-            assert!(
-                sdc.replicated_tasks > 0 && sdc.replicas > 0,
-                "{name}/seed {seed:#x}: replicate-all must replicate: {sdc:?}"
-            );
-            assert_eq!(
-                defended.tasks, clean.tasks,
-                "{name}/seed {seed:#x}: task count changed under corruption"
-            );
-            assert_eq!(
-                defended.store, clean.store,
-                "{name}/seed {seed:#x}: defended store diverged from fault-free \
-                 ({} detected, {} reruns)",
-                sdc.detected, sdc.reruns
-            );
-            assert!(
-                defended.makespan >= clean.makespan,
-                "{name}/seed {seed:#x}: verification made the run faster"
-            );
+            let mut replicas = 0;
+            for k in [2, 3] {
+                let cfg = clean_cfg
+                    .clone()
+                    .with_corruption(seed)
+                    .with_replication(ReplicationConfig::all(k));
+                let defended = execute(&program, &cfg);
+                let sdc = defended.sdc.clone().expect("corrupting run must carry SDC stats");
+                assert_eq!(
+                    sdc.escaped, 0,
+                    "{name}/seed {seed:#x}/k={k}: corrupted outputs escaped the vote: {sdc:?}"
+                );
+                assert!(
+                    sdc.replicated_tasks > 0 && sdc.replicas > 0,
+                    "{name}/seed {seed:#x}/k={k}: replicate-all must replicate: {sdc:?}"
+                );
+                assert!(
+                    sdc.replicas >= replicas,
+                    "{name}/seed {seed:#x}: k={k} ran fewer replicas than k-1: {sdc:?}"
+                );
+                replicas = sdc.replicas;
+                assert_eq!(
+                    defended.tasks, clean.tasks,
+                    "{name}/seed {seed:#x}/k={k}: task count changed under corruption"
+                );
+                assert_eq!(
+                    defended.store, clean.store,
+                    "{name}/seed {seed:#x}/k={k}: defended store diverged from fault-free \
+                     ({} detected, {} reruns)",
+                    sdc.detected, sdc.reruns
+                );
+                assert!(
+                    defended.makespan >= clean.makespan.max(undefended.makespan),
+                    "{name}/seed {seed:#x}/k={k}: verification made the run faster"
+                );
+            }
         }
     }
 }
 
-/// Leg 2, counting half: with the defense off, unreplicated commits on
-/// the corrupt node are tallied as escapes on every seed that fires.
+/// Leg 2, counting half: with the defense off — no replication policy,
+/// or replicate-all at k = 1, which runs each task once — unreplicated
+/// commits on the corrupt node are tallied as escapes on every seed
+/// that fires. Every golden app runs its escaped flips to completion,
+/// so corruption never lands in a field the interpreter would crash on.
 #[test]
 fn undefended_corruption_counts_escapes() {
-    let (name, program) = golden_apps().remove(0);
-    let mut fired = 0;
-    for seed in [1_u64, 2, 3, 42, 0x5DC0] {
-        let cfg = RuntimeConfig::validate(4).with_corruption(seed);
-        let report = execute(&program, &cfg);
-        let sdc = report.sdc.clone().expect("corrupting run must carry SDC stats");
-        assert_eq!(
-            sdc.detected + sdc.reruns + sdc.replicated_tasks,
-            0,
-            "{name}/seed {seed:#x}: no defense may run when replication is off: {sdc:?}"
-        );
-        fired += u64::from(sdc.escaped > 0 || sdc.payload_escaped > 0);
+    for (name, program) in golden_apps() {
+        for replication in [None, Some(ReplicationConfig::all(1))] {
+            let mut fired = 0;
+            for seed in [1_u64, 2, 3, 42, 0x5DC0] {
+                let mut cfg = RuntimeConfig::validate(4).with_corruption(seed);
+                cfg.replication = replication.clone();
+                let report = execute(&program, &cfg);
+                let sdc = report.sdc.clone().expect("corrupting run must carry SDC stats");
+                assert_eq!(
+                    sdc.detected + sdc.reruns + sdc.replicated_tasks + sdc.replicas,
+                    0,
+                    "{name}/seed {seed:#x}/{replication:?}: no defense may run when \
+                     replication is off: {sdc:?}"
+                );
+                fired += u64::from(sdc.escaped > 0 || sdc.payload_escaped > 0);
+            }
+            assert!(
+                fired > 0,
+                "{name}/{replication:?}: no pinned seed produced a single escape — injector inert?"
+            );
+        }
     }
-    assert!(fired > 0, "{name}: no pinned seed produced a single escape — injector inert?");
 }
 
 /// Leg 2, data half: on pinned seeds the escaped flips land in the real

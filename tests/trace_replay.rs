@@ -8,8 +8,8 @@
 //! Locked in over the 500-seed differential-oracle corpus, the four
 //! safety-matrix applications (swept across the dcr × idx × tracing
 //! axes), a pinned capture → replay → invalidate lifecycle on a
-//! hand-built iterative program, and pool-width invariance of replayed
-//! runs.
+//! hand-built iterative program, the AMR app's regrid cadence, and
+//! pool-width invariance of replayed runs.
 
 use il_oracle::generate_program;
 use il_testkit::SplitMix64;
@@ -369,6 +369,51 @@ fn pinned_amr_regrid_lifecycle_invalidates_and_recaptures() {
     // And the whole cadence is observationally replay-transparent.
     let stats = assert_replay_transparent("amr", &app.program, &cfg);
     assert_eq!(stats, exp.trace_replay);
+}
+
+/// Regrid cadence against the recorder: AMR runs 16 timesteps at 4
+/// nodes, regridding every 2, 4 or 8 steps. Every cadence invalidates
+/// at least one trace and captures at least one. Cadence 2 never
+/// replays a capture before the next regrid kills it, the longest
+/// cadence replays most launches, and replays per capture rise with
+/// the cadence. The counts are deterministic.
+#[test]
+fn amr_regrid_cadence_trades_captures_for_replays() {
+    use index_launch::apps::amr;
+
+    let cadences = [2usize, 4, 8];
+    let cadence_counts = || {
+        cadences.map(|cadence| {
+            let app = amr::build(&amr::AmrConfig {
+                cells: 1 << 20,
+                base_blocks: 8,
+                refine_factor: 4,
+                steps_per_epoch: cadence,
+                epochs: 16 / cadence,
+                ..amr::AmrConfig::weak(4)
+            });
+            let exp = expand_program(&app.program, &RuntimeConfig::scale(4));
+            (exp.trace_replay, exp.replayed_ops, exp.analysis_cache)
+        })
+    };
+    let counts = cadence_counts();
+    for (cadence, (stats, _, _)) in cadences.iter().zip(&counts) {
+        assert!(stats.invalidated >= 1, "cadence {cadence}: regrids must invalidate: {stats:?}");
+        assert!(stats.captured >= 1, "cadence {cadence}: nothing captured: {stats:?}");
+    }
+    assert_eq!(counts[0].0.replayed, 0, "cadence 2 must never amortize a capture");
+    let longest = &counts[2].1;
+    assert!(
+        longest.iter().filter(|&&r| r).count() * 2 > longest.len(),
+        "the longest cadence must replay most launches"
+    );
+    let per_capture: Vec<f64> =
+        counts.iter().map(|(s, _, _)| s.replayed as f64 / s.captured as f64).collect();
+    assert!(
+        per_capture.windows(2).all(|w| w[0] <= w[1]),
+        "replays per capture must grow with cadence: {per_capture:?}"
+    );
+    assert_eq!(format!("{counts:?}"), format!("{:?}", cadence_counts()));
 }
 
 /// Capture/replay/invalidate markers surface in the execution trace as
